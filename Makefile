@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench-quick bench bench-parity lint lint-cache-parity scenarios-smoke dsl-smoke trace-smoke profile-smoke telemetry-smoke
+.PHONY: test bench-quick bench lint lint-cache-parity scenarios-smoke dsl-smoke trace-smoke profile-smoke telemetry-smoke
 
 ## Tier-1: the full unit/integration/property suite.
 test:
@@ -19,14 +19,6 @@ bench-quick:
 ## The full pytest-benchmark evaluation (minutes; needs pytest-benchmark).
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-## Scheduler parity: every benched figure runs at quick scale under both
-## registered event schedulers (heap and wheel) and the full result
-## digests must be identical — the hard bit-identical contract of
-## repro.sim.scheduler (see docs/ARCHITECTURE.md, "Event core").
-bench-parity:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
-		tests/test_scheduler_parity.py -k TestFigureParity
 
 ## Static sanity: byte-compile everything, then the simulator-aware
 ## static-analysis pass (determinism / cycle-safety / trace-discipline

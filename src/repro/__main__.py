@@ -234,45 +234,6 @@ def _run_trace(args, parser) -> int:
     return 0
 
 
-def _profile_delays(figure: str) -> int:
-    """``python -m repro profile <figure> --delays``: schedule-delay
-    histogram from one serial quick-scale run.
-
-    This distribution is what the calendar scheduler's bucketing is tuned
-    against: the simulator's delays are short-horizon (DRAM timing
-    parameters, link hops) with a long sparse tail (refresh intervals,
-    timeout flushes), which is exactly the shape a bucket-per-cycle
-    calendar queue with a sparse overflow exploits.
-    """
-    from repro.perf.harness import BENCH_FIGURES
-    from repro.sim.engine import Engine
-
-    runner = ParallelSweepRunner(jobs=1)
-    started = time.time()
-    with Engine.record_delay_histogram() as histogram:
-        BENCH_FIGURES[figure](ExperimentScale.quick(), runner=runner)
-    elapsed = time.time() - started
-    total = sum(histogram.values())
-    if not total:
-        print(f"[profile] {figure}: no events scheduled")
-        return 0
-    rows = sorted(histogram.items())
-    print(f"[profile] {figure}: {total:,} schedule calls across "
-          f"{len(rows)} distinct delays ({elapsed:.1f}s at quick scale)")
-    print(f"[profile] {'delay':>8s} {'count':>12s} {'share':>7s} {'cum':>7s}")
-    shown = rows[:40]
-    cumulative = 0
-    for delay, count in shown:
-        cumulative += count
-        print(f"[profile] {delay:>8d} {count:>12,d} "
-              f"{count / total:>7.1%} {cumulative / total:>7.1%}")
-    if len(rows) > len(shown):
-        tail = total - cumulative
-        print(f"[profile] (+{len(rows) - len(shown)} longer delays, "
-              f"{tail:,} calls, max {rows[-1][0]} cycles)")
-    return 0
-
-
 def _run_profile(args, parser) -> int:
     """``python -m repro profile <figure>`` (or ``--diff a b``): latency
     attribution from an in-stream profiled quick-scale run."""
@@ -306,9 +267,6 @@ def _run_profile(args, parser) -> int:
         )
     if args.jobs is not None and args.jobs > 1:
         print("[profile] note: profiled runs are in-process; ignoring --jobs")
-
-    if args.delays:
-        return _profile_delays(figure)
 
     session = TraceSession(limit=0, profile=True)
     runner = ParallelSweepRunner(jobs=1)
@@ -488,11 +446,6 @@ def main(argv=None) -> int:
                         metavar=("A.json", "B.json"),
                         help="profile only: compare two saved "
                              "ProfileReports and rank attribution deltas")
-    parser.add_argument("--delays", action="store_true",
-                        help="profile only: print the schedule-delay "
-                             "histogram of one serial quick-scale run "
-                             "(the distribution the calendar scheduler's "
-                             "bucketing is tuned against)")
     parser.add_argument("--seed", type=int, default=None, metavar="N",
                         help="run only, payload files: override the "
                              "payload's seed")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 #: CXL's default data transfer granularity (Section IV-B: "the default data
 #: transfer granularity in CXL is 64 Bytes").
@@ -32,6 +32,23 @@ class MessageKind(enum.Enum):
 _message_ids = itertools.count()
 
 
+def wire_costs(kind: MessageKind, payload_bytes: int) -> Tuple[int, int, int]:
+    """``(header, packed, unpacked)`` wire bytes of one payload.
+
+    ``header`` is the per-payload header when packed into a shared flit,
+    ``packed`` the payload's contribution to a shared flit, and
+    ``unpacked`` its cost without data packing (whole flits only).
+    """
+    if payload_bytes <= 0:
+        raise ValueError("payload_bytes must be positive")
+    if kind is MessageKind.MEM_REQUEST:
+        header = REQUEST_HEADER_BYTES
+    else:
+        header = PACKED_HEADER_BYTES
+    total = payload_bytes + header
+    return header, total, -(-total // FLIT_BYTES) * FLIT_BYTES
+
+
 @dataclass(slots=True)
 class Message:
     """One logical payload travelling the fabric.
@@ -43,6 +60,9 @@ class Message:
     The wire-cost fields are fixed by ``kind``/``payload_bytes`` and read
     on every fabric hop, so they are computed once at construction rather
     than exposed as properties.
+
+    A message is its own arrival event: the channel queues the message
+    itself, and calling it (or :meth:`deliver`) runs ``on_delivered``.
     """
 
     kind: MessageKind
@@ -61,17 +81,11 @@ class Message:
     unpacked_wire_bytes: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.payload_bytes <= 0:
-            raise ValueError("payload_bytes must be positive")
-        if self.kind is MessageKind.MEM_REQUEST:
-            header = REQUEST_HEADER_BYTES
-        else:
-            header = PACKED_HEADER_BYTES
-        self.header_bytes = header
-        total = self.payload_bytes + header
-        self.packed_wire_bytes = total
-        self.unpacked_wire_bytes = -(-total // FLIT_BYTES) * FLIT_BYTES
+        (self.header_bytes, self.packed_wire_bytes,
+         self.unpacked_wire_bytes) = wire_costs(self.kind, self.payload_bytes)
 
     def deliver(self) -> None:
         if self.on_delivered is not None:
             self.on_delivered(self)
+
+    __call__ = deliver

@@ -14,6 +14,7 @@ energy numbers of CACTI-IO / Keckler et al. that the paper cites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Callable, Dict, Optional
 
 from repro.sim.component import Component
@@ -27,7 +28,8 @@ class LinkParams:
     #: PCIe5 port moves 32 GB/s = 40 B/cycle; a DDR4-1600 channel 12.8 GB/s
     #: = 16 B/cycle.
     bytes_per_cycle: float
-    #: Propagation + protocol latency in cycles.
+    #: Propagation + protocol latency in whole cycles (an integral float is
+    #: normalized to ``int``).
     latency_cycles: int
     #: Transfer energy in picojoules per byte.
     pj_per_byte: float = 0.0
@@ -37,8 +39,20 @@ class LinkParams:
     def __post_init__(self) -> None:
         if not self.ideal and self.bytes_per_cycle <= 0:
             raise ValueError("bytes_per_cycle must be positive")
-        if self.latency_cycles < 0:
+        latency = self.latency_cycles
+        try:
+            whole = int(latency)
+        except (TypeError, ValueError, OverflowError):
+            whole = None
+        if whole is None or whole != latency:
+            # Checked once here so every transfer can push its arrival
+            # onto the event queue without re-validating the time.
+            raise ValueError(
+                f"latency_cycles must be a whole number of cycles, got {latency!r}"
+            )
+        if whole < 0:
             raise ValueError("latency_cycles must be non-negative")
+        object.__setattr__(self, "latency_cycles", whole)
 
 
 #: Fig. 3's imaginary idealized communication: instant data delivery.
@@ -73,7 +87,14 @@ class Link(Component):
         ibpc = int(bpc) if not params.ideal else 1
         self._bpc = ibpc if ibpc == bpc else bpc
         self._pj = params.pj_per_byte
+        self._latency = params.latency_cycles
+        self._ideal = params.ideal
         self._counters = self.stats.counters
+        #: The engine's event queue and tie-breaker: arrival times are
+        #: integral and never in the past (``LinkParams`` validated the
+        #: latency), so transfers push straight onto the heap.
+        self._queue = engine.queue
+        self._seq = engine.seq
 
     def transfer(
         self,
@@ -90,7 +111,6 @@ class Link(Component):
         """
         if wire_bytes <= 0:
             raise ValueError("wire_bytes must be positive")
-        params = self.params
         # Counter updates inlined (four per transfer, ~1M transfers per
         # figure): same accounting as ``stats.add`` without the call.  Keys
         # are created lazily on the first transfer, exactly as before, so
@@ -106,8 +126,8 @@ class Link(Component):
         counters["energy_pj"] += wire_bytes * self._pj
         engine = self.engine
         now = engine.now
-        if params.ideal:
-            engine.schedule(0, on_delivered)
+        if self._ideal:
+            heappush(self._queue, (now, next(self._seq), on_delivered))
             return now
         start = self.free_at
         if start < now:
@@ -115,7 +135,7 @@ class Link(Component):
         serialize = int(-(-wire_bytes // self._bpc))
         free_at = start + serialize
         self.free_at = free_at
-        arrive = free_at + params.latency_cycles
+        arrive = free_at + self._latency
         if "busy_cycles" not in counters:
             counters["busy_cycles"] = 0.0
         counters["busy_cycles"] += serialize
@@ -126,7 +146,7 @@ class Link(Component):
                 "wait": start - now,
                 "arrive": arrive,
                 "role": self.role,
-                "lat": params.latency_cycles,
+                "lat": self._latency,
             }
             if tag:
                 args.update(tag)
@@ -134,7 +154,7 @@ class Link(Component):
                 "cxl", "xfer", self.path, start, serialize,
                 pid=self.engine.trace_id, args=args,
             )
-        engine.schedule_at(arrive, on_delivered)
+        heappush(self._queue, (arrive, next(self._seq), on_delivered))
         return arrive
 
     def utilization(self, end_cycle: int) -> float:

@@ -65,9 +65,7 @@ class _BatchDelivery:
     def __call__(self) -> None:
         batch = self.batch
         for message in batch:
-            cb = message.on_delivered
-            if cb is not None:
-                cb(message)
+            message()
         # Delivery callbacks only ever append to the channel's *current*
         # buffer, never to this already-shipped batch, so it is safe to
         # recycle here.
@@ -109,7 +107,14 @@ class PackedChannel(Component):
         self._counters = self.stats.counters
 
     def send(self, message: Message) -> None:
-        """Queue ``message`` for transfer; its callback fires at delivery."""
+        """Queue ``message`` for transfer; it is called at delivery.
+
+        ``message`` is a :class:`~repro.cxl.flit.Message` or any object
+        with the same wire-cost fields that is its own arrival callback
+        (the fabric's route flights).  The fabric's untraced hops ship
+        the unbuffered cases inline; keep
+        ``repro.cxl.topology._Flight.__call__`` in step with any change.
+        """
         engine = self.engine
         now = engine.now
         message.created_at = now
@@ -126,27 +131,13 @@ class PackedChannel(Component):
                 counters["direct_messages"] = 0.0
             counters["direct_messages"] += 1
             tag = _wire_tag([message]) if engine.tracer else None
-            self.link.transfer(message.unpacked_wire_bytes, message.deliver,
-                               tag=tag)
-            return
-        link = self.link
-        if not self._buffer and link.free_at <= now and engine.tracer is None:
-            # Idle link, empty buffer: this message would flush alone this
-            # cycle anyway (one sub-flit payload -> one flit); skip the
-            # buffer round-trip.  Kept off under tracing so the flit_flush
-            # instant stream is unchanged.
-            if "packed_flits" not in counters:
-                counters["packed_flits"] = 0.0
-                counters["packed_messages"] = 0.0
-            counters["packed_flits"] += 1
-            counters["packed_messages"] += 1
-            link.transfer(FLIT_BYTES, message.deliver)
+            self.link.transfer(message.unpacked_wire_bytes, message, tag=tag)
             return
         self._buffer.append(message)
         self._buffer_bytes += packed_bytes
         if self._buffer_bytes >= FLIT_BYTES:
             self._flush()
-        elif link.free_at <= now:
+        elif self.link.free_at <= now:
             # Link is idle: waiting for co-travellers would only add latency.
             self._flush()
         else:
@@ -205,8 +196,9 @@ class PackedChannel(Component):
                 "wire_bytes": wire,
                 # Per-request buffering time (cycles spent waiting for
                 # co-travellers), aligned index-for-index with ``reqs``.
+                # (``send`` stamps ``created_at`` on every buffered message.)
                 "waits": [
-                    self.now - (m.created_at or self.now)
+                    self.now - m.created_at
                     for m in batch
                     if getattr(m.cargo, "req_id", None) is not None
                 ],
@@ -218,13 +210,13 @@ class PackedChannel(Component):
             )
         if len(batch) == 1:
             # Idle-link sends flush immediately, so single-message batches
-            # dominate: ship the message's own bound ``deliver`` and recycle
-            # the list now instead of allocating a ``_BatchDelivery``.
+            # dominate: ship the message itself as the arrival event and
+            # recycle the list now instead of allocating a ``_BatchDelivery``.
             message = batch[0]
             batch.clear()
             if len(free) < PackedChannel.BATCH_FREELIST_CAP:
                 free.append(batch)
-            self.link.transfer(wire, message.deliver, tag=tag)
+            self.link.transfer(wire, message, tag=tag)
             return
         self.link.transfer(wire, _BatchDelivery(self, batch), tag=tag)
 

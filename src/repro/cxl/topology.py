@@ -22,9 +22,10 @@ trip including controller backpressure and atomic hand-off.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from heapq import heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cxl.flit import Message, MessageKind
+from repro.cxl.flit import FLIT_BYTES, MessageKind, wire_costs
 from repro.cxl.host import Host
 from repro.cxl.link import IDEAL_LINK_PARAMS, Link, LinkParams
 from repro.cxl.packer import PackedChannel
@@ -92,48 +93,107 @@ class Route:
         return len(self.hops)
 
 
-class _RouteProgress:
-    """Walks one payload along a route's hops, then fires the callback.
+class _Flight:
+    """One payload travelling a route: its packer message and hop events.
 
-    One slotted walker and one :class:`Message` serve the whole route: hop
-    ``i + 1`` only begins after hop ``i`` delivers, so the message is never
-    on two channels at once and can be re-sent as-is.  This replaces the
-    historical per-hop ``Message`` + closure pair on the hottest fabric
-    path.
+    A single slotted object serves the whole route.  It carries the wire
+    costs the packers read (duck-typing :class:`~repro.cxl.flit.Message`),
+    and calling it is the arrival event of its current hop: the call
+    starts the next hop, or fires ``on_delivered`` after the last one.
+    Hop ``i + 1`` only begins after hop ``i`` delivers, so the flight is
+    never on two channels at once.
+
+    An untraced hop over a real link that would not wait in a buffer is
+    shipped inline: no packing or a payload of a flit or more (sent
+    directly), or a packer with an empty buffer and an idle link (which
+    would flush the lone payload at once as one flit).  The channel and
+    link counters, the link's serialization and the arrival push happen
+    here, with the same keys, creation order and arithmetic as
+    :meth:`PackedChannel.send` and :meth:`Link.transfer`.  Every other hop
+    goes through ``PackedChannel.send``.
     """
 
-    __slots__ = ("hops", "index", "on_delivered", "message")
+    __slots__ = (
+        "engine", "hops", "index", "on_delivered", "kind", "payload_bytes",
+        "cargo", "created_at", "packed_wire_bytes", "unpacked_wire_bytes",
+    )
 
     def __init__(
         self,
+        engine,
         hops: List[PackedChannel],
         kind: MessageKind,
         payload_bytes: int,
-        destination: str,
         cargo: object,
         on_delivered: Callable[[], None],
     ) -> None:
+        self.engine = engine
         self.hops = hops
-        self.index = 0
+        #: Hop in progress; ``-1`` until the first hop starts.
+        self.index = -1
         self.on_delivered = on_delivered
-        self.message = Message(
-            kind=kind,
-            payload_bytes=payload_bytes,
-            destination=destination,
-            cargo=cargo,
-            on_delivered=self._advance,
-        )
+        self.kind = kind
+        self.payload_bytes = payload_bytes
+        self.cargo = cargo
+        self.created_at = None
+        _, self.packed_wire_bytes, self.unpacked_wire_bytes = wire_costs(
+            kind, payload_bytes)
 
-    def start(self) -> None:
-        self.hops[0].send(self.message)
-
-    def _advance(self, _message: Message) -> None:
+    def __call__(self) -> None:
         index = self.index + 1
-        if index == len(self.hops):
+        hops = self.hops
+        if index == len(hops):
             self.on_delivered()
             return
         self.index = index
-        self.hops[index].send(self.message)
+        channel = hops[index]
+        link = channel.link
+        engine = self.engine
+        now = engine.now
+        if engine.tracer is not None or link._ideal:
+            channel.send(self)
+            return
+        if not channel.packing or self.packed_wire_bytes >= FLIT_BYTES:
+            direct = True
+        elif not channel._buffer and link.free_at <= now:
+            direct = False  # a lone sub-flit payload: one packed flit
+        else:
+            channel.send(self)  # buffered: the packer decides when to flush
+            return
+        counters = channel._counters
+        if "payload_bytes" not in counters:
+            counters["payload_bytes"] = 0.0
+        counters["payload_bytes"] += self.payload_bytes
+        if direct:
+            if "direct_messages" not in counters:
+                counters["direct_messages"] = 0.0
+            counters["direct_messages"] += 1
+            wire = self.unpacked_wire_bytes
+        else:
+            if "packed_flits" not in counters:
+                counters["packed_flits"] = 0.0
+                counters["packed_messages"] = 0.0
+            counters["packed_flits"] += 1
+            counters["packed_messages"] += 1
+            wire = FLIT_BYTES
+        counters = link._counters
+        if "messages" not in counters:
+            counters["messages"] = 0.0
+            counters["wire_bytes"] = 0.0
+            counters["energy_pj"] = 0.0
+        counters["messages"] += 1
+        counters["wire_bytes"] += wire
+        counters["energy_pj"] += wire * link._pj
+        start = link.free_at
+        if start < now:
+            start = now
+        serialize = int(-(-wire // link._bpc))
+        free_at = start + serialize
+        link.free_at = free_at
+        if "busy_cycles" not in counters:
+            counters["busy_cycles"] = 0.0
+        counters["busy_cycles"] += serialize
+        heappush(engine.queue, (free_at + link._latency, next(engine.seq), self))
 
 
 class Fabric(Component):
@@ -310,9 +370,7 @@ class Fabric(Component):
         if not hops:
             self.engine.schedule(self.comm.dimm_local_latency, on_delivered)
             return
-        _RouteProgress(
-            hops, kind, payload_bytes, route.dst, cargo, on_delivered
-        ).start()
+        _Flight(self.engine, hops, kind, payload_bytes, cargo, on_delivered)()
 
     def comm_energy_pj(self) -> float:
         """Total communication energy accrued on every link of the fabric."""
@@ -331,11 +389,11 @@ class _AccessFlight:
     __slots__ = ("pool", "request", "route_resp", "original_cb")
 
     def __init__(self, pool: "MemoryPool", request: MemoryRequest,
-                 route_resp: Route) -> None:
+                 route_resp: Route, original_cb) -> None:
         self.pool = pool
         self.request = request
         self.route_resp = route_resp
-        self.original_cb = request.on_complete
+        self.original_cb = original_cb
 
     def submit(self) -> None:
         """Request arrived at the DIMM: hand it to the controller."""
@@ -353,6 +411,88 @@ class _AccessFlight:
 
     def deliver(self) -> None:
         """Response arrived at the source: fire the caller's callback."""
+        self.pool._finish(self.request, self.original_cb)
+
+
+class _DramTrip(_AccessFlight):
+    """One :meth:`MemoryPool.dram_access` round trip (an RMW half).
+
+    Same trip as :class:`_AccessFlight`; on arrival it only closes the
+    request's trace span and hands the request to ``original_cb`` (the
+    caller's ``on_done``), leaving the request's fields as they are.
+    """
+
+    __slots__ = ()
+
+    def deliver(self) -> None:
+        request = self.request
+        self.pool._trace_req_end(request)
+        self.original_cb(request)
+
+
+class _RemoteAtomic:
+    """One ATOMIC_RMW shipped to the owning switch's Atomic Engine (Fig. 7)."""
+
+    __slots__ = ("pool", "request", "engine_obj", "route_resp", "original_cb")
+
+    def __init__(self, pool: "MemoryPool", request: MemoryRequest,
+                 engine_obj, route_resp: Route) -> None:
+        self.pool = pool
+        self.request = request
+        self.engine_obj = engine_obj
+        self.route_resp = route_resp
+        self.original_cb = request.on_complete
+
+    def at_switch(self) -> None:
+        """Request arrived at the switch: the Atomic Engine takes over."""
+        self.engine_obj.perform(self.pool, self.request, self.respond)
+
+    def respond(self, req: MemoryRequest) -> None:
+        """The RMW is done: send the acknowledgement back."""
+        self.pool.fabric.send(
+            self.route_resp, MessageKind.MEM_RESPONSE, WRITE_ACK_PAYLOAD,
+            on_delivered=self.deliver, cargo=req,
+        )
+
+    def deliver(self) -> None:
+        """Acknowledgement arrived at the source."""
+        self.pool._finish(self.request, self.original_cb)
+
+
+class _LocalAtomic:
+    """An RMW on the NDP module's own DIMM: read, compute, write back."""
+
+    __slots__ = ("pool", "request", "src_node", "original_cb")
+
+    def __init__(self, pool: "MemoryPool", request: MemoryRequest,
+                 src_node: str) -> None:
+        self.pool = pool
+        self.request = request
+        self.src_node = src_node
+        self.original_cb = request.on_complete
+
+    def _half(self, kind: AccessKind, on_done) -> None:
+        request = self.request
+        half = MemoryRequest(
+            addr=request.addr, size=request.size, kind=kind,
+            data_class=request.data_class, task_id=request.task_id,
+            source=self.src_node,
+        )
+        half.dimm_index = request.dimm_index
+        half.coord = request.coord
+        self.pool.dram_access(half, self.src_node, on_done=on_done)
+
+    def start(self) -> None:
+        self._half(AccessKind.READ, self.after_read)
+
+    def after_read(self, _read: MemoryRequest) -> None:
+        pool = self.pool
+        pool.engine.schedule(pool.comm.atomic_compute_cycles, self.do_write)
+
+    def do_write(self) -> None:
+        self._half(AccessKind.WRITE, self.done)
+
+    def done(self, _write: MemoryRequest) -> None:
         self.pool._finish(self.request, self.original_cb)
 
 
@@ -458,7 +598,7 @@ class MemoryPool(Component):
         route_req = self.fabric.route(src_node, dst_node, force_host=force_host)
         route_resp = self.fabric.route(dst_node, src_node, force_host=force_host)
 
-        flight = _AccessFlight(self, request, route_resp)
+        flight = _AccessFlight(self, request, route_resp, request.on_complete)
         req_payload = READ_REQUEST_PAYLOAD + (request.size if request.is_write else 0)
         self.fabric.send(
             route_req, MessageKind.MEM_REQUEST, req_payload,
@@ -481,53 +621,17 @@ class MemoryPool(Component):
         force_host = not self.comm.device_bias
         route_req = self.fabric.route(src_node, switch_node, force_host=force_host)
         route_resp = self.fabric.route(switch_node, src_node, force_host=force_host)
-        original_callback = request.on_complete
-
-        def respond(req: MemoryRequest) -> None:
-            self.fabric.send(
-                route_resp, MessageKind.MEM_RESPONSE, WRITE_ACK_PAYLOAD,
-                on_delivered=lambda: self._finish(req, original_callback),
-                cargo=req,
-            )
-
-        def at_switch() -> None:
-            engine_obj.perform(self, request, respond)
-
+        flight = _RemoteAtomic(self, request, engine_obj, route_resp)
         self.fabric.send(
             route_req, MessageKind.MEM_REQUEST,
             READ_REQUEST_PAYLOAD + request.size,
-            on_delivered=at_switch, cargo=request,
+            on_delivered=flight.at_switch, cargo=request,
         )
 
     def _local_atomic(self, request: MemoryRequest, src_node: str) -> None:
         """RMW on the NDP module's own DIMM (BEACON-D local counters):
         read, arithmetic in the module, write back — no fabric involved."""
-        original_callback = request.on_complete
-
-        def after_read(_r: MemoryRequest) -> None:
-            self.engine.schedule(self.comm.atomic_compute_cycles, do_write)
-
-        def do_write() -> None:
-            write = MemoryRequest(
-                addr=request.addr, size=request.size, kind=AccessKind.WRITE,
-                data_class=request.data_class, task_id=request.task_id,
-                source=src_node,
-            )
-            write.dimm_index = request.dimm_index
-            write.coord = request.coord
-            self.dram_access(
-                write, src_node,
-                on_done=lambda _w: self._finish(request, original_callback),
-            )
-
-        read = MemoryRequest(
-            addr=request.addr, size=request.size, kind=AccessKind.READ,
-            data_class=request.data_class, task_id=request.task_id,
-            source=src_node,
-        )
-        read.dimm_index = request.dimm_index
-        read.coord = request.coord
-        self.dram_access(read, src_node, on_done=after_read)
+        _LocalAtomic(self, request, src_node).start()
 
     # -- local (same-node) DRAM access used by atomic engines -----------------------------
 
@@ -546,24 +650,9 @@ class MemoryPool(Component):
         self._trace_req_begin(request, src_node, dst_node)
         route_req = self.fabric.route(src_node, dst_node, force_host=False)
         route_resp = self.fabric.route(dst_node, src_node, force_host=False)
-
-        def delivered(req: MemoryRequest) -> None:
-            self._trace_req_end(req)
-            on_done(req)
-
-        def on_dram_done(req: MemoryRequest) -> None:
-            payload = WRITE_ACK_PAYLOAD if req.is_write else req.size
-            self.fabric.send(
-                route_resp, MessageKind.MEM_RESPONSE, payload,
-                on_delivered=lambda: delivered(req), cargo=req,
-            )
-
-        def submit() -> None:
-            request.on_complete = on_dram_done
-            self.controllers[request.dimm_index].submit_when_possible(request)
-
+        trip = _DramTrip(self, request, route_resp, on_done)
         req_payload = READ_REQUEST_PAYLOAD + (request.size if request.is_write else 0)
         self.fabric.send(
             route_req, MessageKind.MEM_REQUEST, req_payload,
-            on_delivered=submit, cargo=request,
+            on_delivered=trip.submit, cargo=request,
         )

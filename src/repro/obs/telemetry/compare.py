@@ -38,7 +38,9 @@ DEFAULT_THRESHOLD = 0.75
 #: Bench payload schemas this gate knows how to read: the current id
 #: plus the superseded bench ids (old baselines stay comparable — every
 #: bench version so far kept the per-figure events_per_sec/wall_s core).
-_KNOWN_BENCH_SCHEMAS = ("repro-bench/1", "repro-bench/2", SCHEMAS["bench"])
+_KNOWN_BENCH_SCHEMAS = (
+    "repro-bench/1", "repro-bench/2", "repro-bench/3", SCHEMAS["bench"],
+)
 
 
 class CompareError(ValueError):

@@ -14,10 +14,10 @@ optimizations are pure host-side work elision (scheduling plans, index
 construction); any divergence is a bug, so the harness hard-asserts
 rather than warning.
 
-``BENCH_results.json`` schema (``repro-bench/3``)::
+``BENCH_results.json`` schema (``repro-bench/4``)::
 
     {
-      "schema": "repro-bench/3",
+      "schema": "repro-bench/4",
       "created_unix": <float, seconds since epoch>,
       "scale": "quick",
       "jobs": <int>,
@@ -31,17 +31,13 @@ rather than warning.
           "events": <int>,            # simulation events executed
           "events_per_sec": <float>,  # events / wall_s (0 when jobs > 1:
                                       # events then execute in workers)
-          "scheduler": <str>,         # event scheduler of the timed run
-          "occupancy": <dict or null>,  # per-scheduler queue stats from
+          "fingerprint_sha256": <str>,  # sha256 of the timed run's
+                                      # fingerprint(): two payloads' figures
+                                      # simulated the same iff these match
+          "occupancy": <dict or null>,  # event-queue stats from
                                       # Engine.process_occupancy(): events
-                                      # enqueued, cycles started, max/avg
-                                      # same-cycle batch size
-          "schedulers": <dict or null>,  # comparison runs under the other
-                                      # registered schedulers: name ->
-                                      # {wall_s, events, events_per_sec,
-                                      # occupancy, verified_identical};
-                                      # fingerprints are hard-asserted
-                                      # equal to the primary run
+                                      # enqueued, cycles started, avg
+                                      # events per populated cycle
           "verified_identical": <bool or null>,  # null = verify skipped
           "reference_wall_s": <float or null>,  # serial/uncached run wall
                                       # clock (null = verify skipped);
@@ -70,6 +66,7 @@ rather than warning.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -87,7 +84,6 @@ from repro.experiments.scenarios import (
 from repro.genomics import index_cache
 from repro.schemas import SCHEMAS
 from repro.sim.engine import Engine
-from repro.sim.scheduler import DEFAULT_SCHEDULER, SCHEDULER_ENV, SCHEDULERS
 
 BENCH_SCHEMA = SCHEMAS["bench"]
 
@@ -156,6 +152,11 @@ def fingerprint(result: Any) -> List[Tuple]:
     ]
 
 
+def fingerprint_sha256(result: Any) -> str:
+    """Hex sha256 of :func:`fingerprint` (``repr`` of floats is exact)."""
+    return hashlib.sha256(repr(fingerprint(result)).encode()).hexdigest()
+
+
 class BenchMismatchError(AssertionError):
     """A cached/parallel run diverged from the serial/uncached reference."""
 
@@ -170,21 +171,14 @@ class FigureBenchResult:
     name: str
     wall_s: float
     events: int
-    #: Event scheduler the timed run used (``REPRO_SCHEDULER`` or the
-    #: default); comparison runs under other schedulers land in
-    #: :attr:`schedulers`.
-    scheduler: str = DEFAULT_SCHEDULER
+    #: :func:`fingerprint_sha256` of the timed run's result.
+    fingerprint_sha256: str = ""
     #: Timed runs taken; ``wall_s``/``events`` are the best (fastest) one.
     repeats: int = 1
-    #: Per-scheduler queue statistics from the timed run (see
+    #: Event-queue statistics from the timed run (see
     #: :meth:`repro.sim.engine.Engine.process_occupancy`): events
-    #: enqueued, cycles started, max/avg same-cycle batch size.
+    #: enqueued, cycles started, avg events per populated cycle.
     occupancy: Optional[Dict[str, Any]] = None
-    #: Comparison runs under the other registered schedulers, keyed by
-    #: scheduler name; each carries its own timing + occupancy and a
-    #: ``verified_identical`` flag (fingerprint parity with the primary
-    #: run, hard-asserted by :func:`bench_figures`).
-    schedulers: Optional[Dict[str, Dict[str, Any]]] = None
     verified_identical: Optional[bool] = None
     #: Wall clock of the serial/uncached reference run (``None`` when the
     #: verify pass is skipped); ``wall_s`` against this is the combined
@@ -207,9 +201,8 @@ class FigureBenchResult:
             "wall_s": self.wall_s,
             "events": self.events,
             "events_per_sec": self.events_per_sec,
-            "scheduler": self.scheduler,
+            "fingerprint_sha256": self.fingerprint_sha256,
             "occupancy": self.occupancy,
-            "schedulers": self.schedulers,
             "verified_identical": self.verified_identical,
             "reference_wall_s": self.reference_wall_s,
             "index_cache": self.index_cache,
@@ -219,45 +212,33 @@ class FigureBenchResult:
 
 def _timed_run(
     fn: Callable[..., Any], scale: ExperimentScale,
-    runner: ParallelSweepRunner, scheduler: Optional[str] = None,
+    runner: ParallelSweepRunner,
 ) -> Tuple[Any, float, int, Dict[str, Any], Dict[str, Any]]:
     """One timed figure run; returns ``(result, wall_s, events,
     index_cache_delta, occupancy)``.
 
     The engine's process-wide counters are reset up front
     (:meth:`Engine.reset_process_counters`) so the event count and the
-    scheduler-occupancy report read back afterwards are exactly this
-    run's, with no delta bookkeeping.  With ``scheduler`` set, the run
-    executes under that event scheduler via ``REPRO_SCHEDULER``.
+    queue-occupancy report read back afterwards are exactly this run's,
+    with no delta bookkeeping.
     """
-    previous = os.environ.get(SCHEDULER_ENV)
-    if scheduler is not None:
-        os.environ[SCHEDULER_ENV] = scheduler
-    try:
-        Engine.reset_process_counters()
-        cache_before = index_cache.cache_stats()
-        started = time.perf_counter()
-        result = fn(scale, runner=runner)
-        wall = time.perf_counter() - started
-        events = Engine.global_events_executed()
-        occupancy = Engine.process_occupancy()
-        cache_after = index_cache.cache_stats()
-        cache_delta = {
-            key: cache_after[key] - cache_before[key] for key in cache_after
-        }
-        return result, wall, events, cache_delta, occupancy
-    finally:
-        if scheduler is not None:
-            if previous is None:
-                os.environ.pop(SCHEDULER_ENV, None)
-            else:
-                os.environ[SCHEDULER_ENV] = previous
+    Engine.reset_process_counters()
+    cache_before = index_cache.cache_stats()
+    started = time.perf_counter()
+    result = fn(scale, runner=runner)
+    wall = time.perf_counter() - started
+    events = Engine.global_events_executed()
+    occupancy = Engine.process_occupancy()
+    cache_after = index_cache.cache_stats()
+    cache_delta = {
+        key: cache_after[key] - cache_before[key] for key in cache_after
+    }
+    return result, wall, events, cache_delta, occupancy
 
 
 def _best_timed_run(
     fn: Callable[..., Any], scale: ExperimentScale,
     runner: ParallelSweepRunner, repeats: int,
-    scheduler: Optional[str] = None,
 ) -> Tuple[Any, float, int, Dict[str, Any], Dict[str, Any]]:
     """Best-of-``repeats`` wrapper around :func:`_timed_run`.
 
@@ -268,7 +249,7 @@ def _best_timed_run(
     """
     best = None
     for _ in range(max(1, repeats)):
-        attempt = _timed_run(fn, scale, runner, scheduler=scheduler)
+        attempt = _timed_run(fn, scale, runner)
         if best is None or attempt[1] < best[1]:
             best = attempt
     return best
@@ -364,7 +345,6 @@ def bench_figures(
     attribution: bool = False,
     telemetry_verify: bool = False,
     repeats: int = 1,
-    schedulers: Optional[Sequence[str]] = None,
 ) -> List[FigureBenchResult]:
     """Time each figure campaign; optionally verify against the reference.
 
@@ -382,21 +362,11 @@ def bench_figures(
 
     ``repeats`` times each figure N times and records the fastest run
     (quick-scale machine noise is +/-20%; the best of 3 is stable).
-    ``schedulers`` names additional event schedulers (see
-    :data:`repro.sim.scheduler.SCHEDULERS`) to time each figure under for
-    comparison; their fingerprints are hard-asserted bit-identical to the
-    primary run's (:class:`BenchMismatchError` otherwise), making every
-    bench also a scheduler-parity check.
     """
     names = list(figures) if figures is not None else list(BENCH_FIGURES)
     unknown = sorted(set(names) - set(BENCH_FIGURES))
     if unknown:
         raise ValueError(f"unknown bench figures: {unknown}")
-    extra_schedulers = list(schedulers) if schedulers else []
-    unknown_scheds = sorted(set(extra_schedulers) - set(SCHEDULERS))
-    if unknown_scheds:
-        raise ValueError(f"unknown schedulers: {unknown_scheds}")
-    primary_scheduler = os.environ.get(SCHEDULER_ENV) or DEFAULT_SCHEDULER
     scale = scale if scale is not None else ExperimentScale.quick()
     runner = ParallelSweepRunner(jobs=jobs)
     results: List[FigureBenchResult] = []
@@ -407,34 +377,10 @@ def bench_figures(
         result, wall, events, cache_delta, occ = _best_timed_run(
             fn, scale, runner, repeats)
         entry = FigureBenchResult(name=name, wall_s=wall, events=events,
-                                  scheduler=primary_scheduler,
+                                  fingerprint_sha256=fingerprint_sha256(result),
                                   repeats=max(1, repeats),
                                   occupancy=occ or None,
                                   index_cache=cache_delta)
-        base_print = fingerprint(result)
-        for sched_name in extra_schedulers:
-            if sched_name == primary_scheduler:
-                continue
-            if progress:
-                progress(f"[bench] {name}: timing under "
-                         f"{sched_name} scheduler ...")
-            s_result, s_wall, s_events, _, s_occ = _best_timed_run(
-                fn, scale, runner, repeats, scheduler=sched_name)
-            if fingerprint(s_result) != base_print:
-                raise BenchMismatchError(
-                    f"{name}: results under the {sched_name} scheduler "
-                    f"diverge from the {primary_scheduler} run — event "
-                    "schedulers must be order-identical"
-                )
-            if entry.schedulers is None:
-                entry.schedulers = {}
-            entry.schedulers[sched_name] = {
-                "wall_s": s_wall,
-                "events": s_events,
-                "events_per_sec": (s_events / s_wall if s_wall > 0 else 0.0),
-                "occupancy": s_occ or None,
-                "verified_identical": True,
-            }
         if verify:
             if progress:
                 progress(f"[bench] {name}: verifying vs serial/uncached ...")
@@ -539,26 +485,18 @@ def run_bench(
     attribution: bool = False,
     telemetry_verify: bool = False,
     repeats: int = 3,
-    schedulers: Optional[Sequence[str]] = None,
 ) -> Dict[str, Any]:
     """The ``python -m repro bench`` entry point: bench, verify, persist.
 
-    By default each figure is timed best-of-3 and additionally run under
-    every registered scheduler other than the primary one (fingerprint
-    parity asserted), so the persisted file carries a per-scheduler
-    events/sec comparison.  Pass ``schedulers=()`` to skip the comparison
-    runs.
+    Each figure is timed best-of-``repeats``.
     """
     runner = ParallelSweepRunner(jobs=jobs)
-    primary_scheduler = os.environ.get(SCHEDULER_ENV) or DEFAULT_SCHEDULER
-    if schedulers is None:
-        schedulers = sorted(set(SCHEDULERS) - {primary_scheduler})
     previous = _previous_baseline(output)
     results = bench_figures(figures=figures, jobs=runner.jobs, verify=verify,
                             progress=progress, trace_verify=trace_verify,
                             attribution=attribution,
                             telemetry_verify=telemetry_verify,
-                            repeats=repeats, schedulers=schedulers)
+                            repeats=repeats)
     if previous is not None:
         previous["geomean_speedup"] = _geomean_speedup(results, previous)
     payload: Dict[str, Any] = {
@@ -582,20 +520,13 @@ def run_bench(
             verdict = ("ok" if r.verified_identical
                        else "UNVERIFIED" if r.verified_identical is None
                        else "MISMATCH")
-            others = ""
-            if r.schedulers:
-                others = "  vs " + ", ".join(
-                    f"{sched}={info['events_per_sec']:.0f}"
-                    for sched, info in sorted(r.schedulers.items())
-                )
             progress(
                 f"[bench] {r.name:12s} {r.wall_s:7.2f}s "
                 f"{r.events:>10d} events  {r.events_per_sec:>12.0f} ev/s  "
-                f"[{verdict}]{others}"
+                f"[{verdict}] {r.fingerprint_sha256[:12]}"
             )
         progress(f"[bench] total {payload['total_wall_s']:.2f}s "
-                 f"(jobs={runner.jobs}, repeats={payload['repeats']}, "
-                 f"scheduler={primary_scheduler})")
+                 f"(jobs={runner.jobs}, repeats={payload['repeats']})")
         if previous is not None and previous.get("geomean_speedup"):
             progress(f"[bench] geomean speedup vs previous baseline "
                      f"({previous['schema']}): "

@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet
 
 #: family name -> the current schema id emitted for that artifact.
 SCHEMAS: Dict[str, str] = {
-    "bench": "repro-bench/3",
+    "bench": "repro-bench/4",
     "ledger": "repro-ledger/1",
     "lint": "repro-lint/2",
     "metrics": "repro-metrics/1",
@@ -40,6 +40,7 @@ SCHEMAS: Dict[str, str] = {
 LEGACY_SCHEMA_IDS: FrozenSet[str] = frozenset({
     "repro-bench/1",
     "repro-bench/2",
+    "repro-bench/3",
     "repro-lint/1",
 })
 

@@ -12,33 +12,16 @@ tick equals one DRAM cycle.
 """
 
 from repro.sim.component import Component
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import Engine, EventHandle, SimulationError
 from repro.sim.queueing import BoundedQueue, QueueFullError
-from repro.sim.scheduler import (
-    DEFAULT_SCHEDULER,
-    SCHEDULER_ENV,
-    SCHEDULERS,
-    CalendarScheduler,
-    EventHandle,
-    HeapScheduler,
-    Scheduler,
-    create_scheduler,
-)
 from repro.sim.stats import StatScope
 
 __all__ = [
     "BoundedQueue",
-    "CalendarScheduler",
     "Component",
-    "DEFAULT_SCHEDULER",
     "Engine",
     "EventHandle",
-    "HeapScheduler",
     "QueueFullError",
-    "SCHEDULERS",
-    "SCHEDULER_ENV",
-    "Scheduler",
     "SimulationError",
     "StatScope",
-    "create_scheduler",
 ]

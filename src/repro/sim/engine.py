@@ -1,27 +1,28 @@
 """Deterministic discrete-event engine.
 
-Events are kept in a pluggable :class:`~repro.sim.scheduler.Scheduler`
-(binary heap or calendar queue, see :mod:`repro.sim.scheduler`); ordering
-is by timestamp, FIFO within a cycle with respect to scheduling order.
-That keeps every simulation in this repository exactly reproducible — the
-same configuration and workload always produce the same cycle counts and
-energy totals, under either scheduler implementation.
+Events live in one binary heap of ``(time, seq, event)`` triples owned by
+the :class:`Engine`.  ``seq`` comes from a per-engine counter that only ever
+increases, so events of the same cycle run in scheduling order — including
+events pushed for the cycle that is being drained, which sort after
+everything already queued for it.  That keeps every simulation in this
+repository exactly reproducible: the same configuration and workload always
+produce the same cycle counts and energy totals.
 
-The run loop dispatches in *cycle batches*: the scheduler hands over one
-populated cycle's FIFO bucket as a live list, and the engine drains it by
-index without re-touching the priority structure per event.  Events
-scheduled for the current cycle while the batch drains append to the same
-live list, which reproduces the historical heap's ``(time, seq)`` pop
-order exactly.
+An event is either a bare callable or an :class:`EventHandle` (a cancellable
+wrapper returned by :meth:`Engine.schedule_cancellable`).  Hot paths that
+already hold a validated integer time ``>= engine.now`` — the fabric's
+per-hop arrivals — may push ``(time, next(engine.seq), event)`` onto
+``engine.queue`` directly with :func:`heapq.heappush`; every other caller
+goes through :meth:`Engine.schedule` / :meth:`Engine.schedule_at`, which
+validate the time first.
 """
 
 from __future__ import annotations
 
-import contextlib
 import gc
-from typing import Any, Callable, Dict, Iterator, Optional, Union
-
-from repro.sim.scheduler import EventHandle, Scheduler, create_scheduler
+import itertools
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional
 
 
 class SimulationError(RuntimeError):
@@ -48,13 +49,34 @@ def _integral_time(time: Any, delay: Any) -> int:
     return coerced
 
 
+class EventHandle:
+    """A cancellable scheduled event (see ``Engine.schedule_cancellable``).
+
+    Slotted and minimal on purpose: the hot path queues bare callables, and
+    only call sites that may need to retract or supersede an event
+    (controller wakeups, packer flush timers) pay for a handle.
+    Cancellation is O(1): the handle is flagged and the engine drops it,
+    without running the callback, when its cycle comes up.
+    """
+
+    __slots__ = ("fn", "cancelled")
+
+    def __init__(self, fn: Callable[[], None]) -> None:
+        self.fn = fn
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        """Retract the event; a no-op if it already ran or was cancelled."""
+        self.cancelled = True
+
+    @property
+    def active(self) -> bool:
+        """Whether the event can still fire."""
+        return not self.cancelled
+
+
 class Engine:
     """Event-driven simulator with integer cycle timestamps.
-
-    ``scheduler`` selects the priority structure: a registry name
-    (``"heap"``/``"wheel"``), a ready :class:`Scheduler` instance, or
-    ``None`` to honour the ``REPRO_SCHEDULER`` environment variable
-    (default ``wheel``).  Results are bit-identical across schedulers.
 
     Example
     -------
@@ -71,11 +93,11 @@ class Engine:
     #: events/sec for a whole experiment campaign.
     _global_events_executed: int = 0
 
-    #: Process-wide scheduler occupancy totals, keyed by scheduler name.
-    #: Each :meth:`run` folds its scheduler's counter deltas in here, so
-    #: the perf harness can report batching behaviour (events per populated
-    #: cycle, largest batch) for a whole campaign without reaching into
-    #: individual engines.
+    #: Process-wide queue occupancy totals (``events_enqueued`` /
+    #: ``cycles_started``).  Each :meth:`run` folds its engine's counter
+    #: deltas in here, so the perf harness can report batching behaviour
+    #: (events per populated cycle) for a whole campaign without reaching
+    #: into individual engines.
     _global_occupancy: dict = {}
 
     #: Recorder newly constructed engines adopt (see :mod:`repro.obs`).
@@ -108,77 +130,36 @@ class Engine:
 
     @classmethod
     def process_occupancy(cls) -> dict:
-        """Scheduler occupancy totals since :meth:`reset_process_counters`.
+        """Event-queue occupancy totals since :meth:`reset_process_counters`.
 
-        Maps scheduler name to ``events_enqueued`` / ``cycles_started`` /
-        ``max_batch`` / ``avg_batch`` aggregated over every completed
-        :meth:`run` in this process.
+        Maps the queue's name (``"heap"``, the only one) to
+        ``events_enqueued`` / ``cycles_started`` / ``avg_batch`` aggregated
+        over every completed :meth:`run` in this process; empty when no
+        run completed.
         """
-        report = {}
-        for name, totals in cls._global_occupancy.items():
-            cycles = totals["cycles_started"]
-            report[name] = {
-                "events_enqueued": totals["events_enqueued"],
-                "cycles_started": cycles,
-                "max_batch": totals["max_batch"],
-                # repro: allow[int-cycle-arithmetic] -- derived reporting
-                # ratio for the bench payload; never feeds back into timing.
-                "avg_batch": totals["events_enqueued"] / cycles if cycles else 0.0,
-            }
-        return report
+        totals = cls._global_occupancy
+        if not totals:
+            return {}
+        cycles = totals["cycles_started"]
+        return {"heap": {
+            "events_enqueued": totals["events_enqueued"],
+            "cycles_started": cycles,
+            # repro: allow[int-cycle-arithmetic] -- derived reporting
+            # ratio for the bench payload; never feeds back into timing.
+            "avg_batch": totals["events_enqueued"] / cycles if cycles else 0.0,
+        }}
 
-    @classmethod
-    @contextlib.contextmanager
-    def record_delay_histogram(cls) -> Iterator[Dict[int, int]]:
-        """Count every scheduled delay, process-wide, while active.
-
-        Profiling aid behind ``python -m repro profile --delays`` — the
-        measured delay distribution is what the calendar scheduler's
-        bucketing is tuned against.  Purely observational: the wrapped
-        scheduling methods record the delay then delegate, so event order
-        and results are untouched.  Zero cost when inactive: the hot
-        ``schedule`` path carries no histogram branch; the counting
-        wrappers are installed on the class only while the context is
-        entered (which also makes the context non-reentrant and
-        process-global, like the tracer).  Yields the live histogram
-        mapping delay (cycles) -> times scheduled.
-        """
-        histogram: Dict[int, int] = {}
-        plain, absolute, cancellable = (
-            cls.schedule, cls.schedule_at, cls.schedule_cancellable)
-
-        def counting_schedule(self, delay, callback):
-            histogram[delay] = histogram.get(delay, 0) + 1
-            return plain(self, delay, callback)
-
-        def counting_schedule_at(self, time, callback):
-            delay = time - self.now
-            histogram[delay] = histogram.get(delay, 0) + 1
-            return absolute(self, time, callback)
-
-        def counting_schedule_cancellable(self, delay, callback):
-            histogram[delay] = histogram.get(delay, 0) + 1
-            return cancellable(self, delay, callback)
-
-        cls.schedule = counting_schedule
-        cls.schedule_at = counting_schedule_at
-        cls.schedule_cancellable = counting_schedule_cancellable
-        try:
-            yield histogram
-        finally:
-            cls.schedule = plain
-            cls.schedule_at = absolute
-            cls.schedule_cancellable = cancellable
-
-    def __init__(self, scheduler: Union[str, Scheduler, None] = None) -> None:
+    def __init__(self) -> None:
         #: Current simulation time in DRAM cycles.  A plain attribute on
         #: purpose: this is the single most-read value in the simulator
         #: and a property costs a descriptor call per read.  Only the run
         #: loop writes it.
         self.now: int = 0
-        self._scheduler: Scheduler = create_scheduler(scheduler)
-        #: Bound push, saving a descriptor walk on every schedule call.
-        self._push = self._scheduler.push
+        #: The event queue: a binary heap of ``(time, seq, event)``.  The
+        #: list object is never rebound, so components may hold it.
+        self.queue: List[tuple] = []
+        #: Tie-breaker source for :attr:`queue` entries (FIFO per cycle).
+        self.seq = itertools.count()
         self._events_executed: int = 0
         self._running: bool = False
         self._stopped: bool = False
@@ -189,15 +170,9 @@ class Engine:
         #: Identity of this engine on a shared trace timeline.
         self.trace_id: int = Engine._next_trace_id
         Engine._next_trace_id += 1
-        #: High-water marks of this engine's scheduler counters already
-        #: folded into :attr:`_global_occupancy` (see :meth:`run`).
+        #: Events of this engine already counted as enqueued in
+        #: :attr:`_global_occupancy` (see :meth:`run`).
         self._occ_enqueued_folded: int = 0
-        self._occ_cycles_folded: int = 0
-
-    @property
-    def scheduler(self) -> Scheduler:
-        """The priority structure backing this engine (read-only)."""
-        return self._scheduler
 
     @property
     def events_executed(self) -> int:
@@ -208,7 +183,7 @@ class Engine:
     def pending_events(self) -> int:
         """Number of events currently waiting in the queue (cancelled
         handles still count until their cycle comes up)."""
-        return len(self._scheduler)
+        return len(self.queue)
 
     def schedule(self, delay: int, callback: Callable[[], Any]) -> None:
         """Schedule ``callback`` to run ``delay`` cycles from now.
@@ -224,7 +199,7 @@ class Engine:
         time = self.now + delay
         if type(time) is not int:
             time = _integral_time(time, delay)
-        self._push(time, callback)
+        heappush(self.queue, (time, next(self.seq), callback))
 
     def schedule_at(self, time: int, callback: Callable[[], Any]) -> None:
         """Schedule ``callback`` at absolute cycle ``time`` (>= now)."""
@@ -234,7 +209,7 @@ class Engine:
             )
         if type(time) is not int:
             time = _integral_time(time, time - self.now)
-        self._push(time, callback)
+        heappush(self.queue, (time, next(self.seq), callback))
 
     def schedule_cancellable(
         self, delay: int, callback: Callable[[], Any]
@@ -242,25 +217,19 @@ class Engine:
         """Like :meth:`schedule`, returning a cancellable handle.
 
         ``handle.cancel()`` retracts the event in O(1) without touching
-        the priority structure; a cancelled event's callback is skipped
-        when its cycle arrives (the empty dispatch slot still counts as an
-        executed event, like the fire-and-bail wakeups it replaces).  Use
-        this for timeout/wakeup events usually superseded before firing.
+        the queue; a cancelled event's callback is skipped when its cycle
+        arrives (the empty dispatch slot still counts as an executed
+        event, like the fire-and-bail wakeups it replaces).  Use this for
+        timeout/wakeup events usually superseded before firing.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} cycles in the past")
-        time = self.now + delay
-        if type(time) is not int:
-            time = _integral_time(time, delay)
         handle = EventHandle(callback)
-        self._push(time, handle)
+        self.schedule(delay, handle)
         return handle
 
     def reschedule(self, handle: Optional[EventHandle], delay: int) -> EventHandle:
-        """Supersede ``handle`` (if any) with a fresh one ``delay`` from now.
+        """Supersede ``handle`` with a fresh one ``delay`` cycles from now.
 
-        Cancels the old handle and schedules its callback again — or, when
-        ``handle`` is ``None``, this is just :meth:`schedule_cancellable`.
+        Cancels the old handle and schedules its callback again.
         """
         if handle is None:
             raise SimulationError("reschedule() needs a handle to supersede")
@@ -291,14 +260,14 @@ class Engine:
             raise SimulationError("engine is not re-entrant")
         self._running = True
         self._stopped = False
-        executed_this_run = 0
-        sched = self._scheduler
-        budget = -1
-        if max_events is not None:
-            # The historical loop checked `executed >= max_events` after
-            # each event, so a non-positive budget still ran one event.
-            budget = max_events if max_events > 0 else 1
-        # Event dispatch allocates heavily (messages, requests, partials)
+        queue = self.queue
+        executed = 0
+        cycles = 0
+        # The historical loop checked `executed >= max_events` after each
+        # event, so a non-positive budget still runs one event; -1 never
+        # matches.
+        budget = -1 if max_events is None else max(max_events, 1)
+        # Event dispatch allocates heavily (requests, flights, partials)
         # but the objects are acyclic and die young; pausing the cyclic
         # collector for the duration of the drain removes periodic
         # whole-heap scans from the hot loop.  Purely an allocator
@@ -306,106 +275,60 @@ class Engine:
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
-        # Bound methods hoisted out of the loop: three attribute walks per
-        # populated cycle add up over hundreds of thousands of cycles.
-        next_time = sched.next_time
-        start_cycle = sched.start_cycle
-        finish_cycle = sched.finish_cycle
+        # The cycle being drained.  Reset per run, so a run resuming a
+        # cycle a stopped run left half-drained counts it as started again.
+        cycle = None
         try:
-            while not self._stopped:
-                time = next_time()
-                if time is None:
-                    break
-                if until is not None and time > until:
-                    self.now = until
-                    break
-                self.now = time
-                # Drain this cycle's FIFO by index; same-cycle schedules
-                # append to `batch` and are picked up by the same sweep.
-                batch = start_cycle()
-                i = 0
-                aborted = False
-                if budget < 0:
-                    # Common case (no max_events): the only per-event
-                    # bookkeeping is the stop flag; the executed count is
-                    # settled in one add after the sweep.  ``len(batch)``
-                    # is re-read every iteration on purpose: same-cycle
-                    # schedules grow the live list mid-drain.
-                    while i < len(batch):
-                        event = batch[i]
-                        i += 1
-                        if event.__class__ is EventHandle:
-                            # A cancelled handle is dropped here, but still
-                            # counts as a dispatched event: it occupied a
-                            # queue slot and a dispatch turn, exactly like
-                            # the fire-and-bail wakeup events this mechanism
-                            # replaced (keeping event accounting comparable).
-                            if not event.cancelled:
-                                event.fn()
-                        else:
-                            event()
-                        if self._stopped:
-                            aborted = True
-                            break
-                    executed_this_run += i
+            while queue:
+                entry = heappop(queue)
+                if entry[0] != cycle:
+                    cycle = entry[0]
+                    if until is not None and cycle > until:
+                        heappush(queue, entry)  # same (time, seq): same place
+                        self.now = until
+                        break
+                    self.now = cycle
+                    cycles += 1
+                event = entry[2]
+                executed += 1
+                if event.__class__ is EventHandle:
+                    # A cancelled handle is dropped here, but still counts as
+                    # a dispatched event: it occupied a queue slot and a
+                    # dispatch turn, exactly like the fire-and-bail wakeup
+                    # events this mechanism replaced.
+                    if not event.cancelled:
+                        event.fn()
                 else:
-                    while i < len(batch):
-                        event = batch[i]
-                        i += 1
-                        if event.__class__ is EventHandle:
-                            if not event.cancelled:
-                                event.fn()
-                        else:
-                            event()
-                        executed_this_run += 1
-                        if self._stopped or executed_this_run == budget:
-                            aborted = True
-                            break
-                if aborted:
-                    # Keep the unconsumed remainder queued; a later run()
-                    # resumes exactly where this one left off.
-                    del batch[:i]
-                    if not batch:
-                        finish_cycle()
-                    if (
-                        executed_this_run == budget
-                        and not self._stopped
-                        and len(sched)
-                    ):
+                    event()
+                if self._stopped:
+                    break
+                if executed == budget:
+                    if queue:
                         raise SimulationError(
                             f"exceeded max_events={max_events}; "
                             "simulation is probably not converging"
                         )
                     break
-                finish_cycle()
-            if until is not None and not len(sched) and self.now < until:
+            if until is not None and not queue and self.now < until:
                 self.now = until
         finally:
             if gc_was_enabled:
                 gc.enable()
             self._running = False
-            self._events_executed += executed_this_run
-            totals = Engine._global_occupancy.get(sched.name)
-            if totals is None:
-                totals = Engine._global_occupancy[sched.name] = {
-                    "events_enqueued": 0, "cycles_started": 0, "max_batch": 0,
-                }
-            # Fold this engine's not-yet-folded scheduler counters into
-            # the process totals.  High-water marks (rather than a
-            # run-start snapshot) also credit events scheduled *before*
-            # run() and survive multiple run() calls without double
-            # counting.
-            totals["events_enqueued"] += (
-                sched.events_enqueued - self._occ_enqueued_folded
-            )
-            totals["cycles_started"] += (
-                sched.cycles_started - self._occ_cycles_folded
-            )
-            self._occ_enqueued_folded = sched.events_enqueued
-            self._occ_cycles_folded = sched.cycles_started
-            if sched.max_batch > totals["max_batch"]:
-                totals["max_batch"] = sched.max_batch
-            Engine._global_events_executed += executed_this_run
+            self._events_executed += executed
+            Engine._global_events_executed += executed
+            totals = Engine._global_occupancy
+            if not totals:
+                totals.update(events_enqueued=0, cycles_started=0)
+            totals["cycles_started"] += cycles
+            # Every queued event is either executed or still pending, so
+            # executed + pending is the number ever enqueued.  A high-water
+            # mark (rather than a run-start snapshot) also credits events
+            # scheduled *before* run() and survives multiple run() calls
+            # without double counting.
+            enqueued = self._events_executed + len(queue)
+            totals["events_enqueued"] += enqueued - self._occ_enqueued_folded
+            self._occ_enqueued_folded = enqueued
             if self.tracer:
                 # Purely observational: lets the profiler use the exact
                 # final clock as its utilization denominator instead of

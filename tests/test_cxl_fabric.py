@@ -15,6 +15,7 @@ from repro.cxl import (
 from repro.cxl.topology import MemoryPool
 from repro.dram import ChipInterleaveMapping, DimmGeometry, DimmKind, MemoryRequest
 from repro.dram.request import AccessKind
+from repro.obs.recorder import TraceRecorder
 from repro.sim import Engine
 from repro.sim.component import Component
 
@@ -83,6 +84,23 @@ class TestLink:
         with pytest.raises(ValueError):
             link.transfer(0, lambda: None)
 
+    def test_fractional_latency_rejected_up_front(self):
+        # Rejected at construction, not at the first transfer deep in a run.
+        with pytest.raises(ValueError, match="whole number of cycles"):
+            LinkParams(bytes_per_cycle=40, latency_cycles=40.5)
+        with pytest.raises(ValueError, match="whole number of cycles"):
+            LinkParams(bytes_per_cycle=40, latency_cycles="40")
+
+    def test_integral_float_latency_normalized(self):
+        params = LinkParams(bytes_per_cycle=8, latency_cycles=10.0)
+        assert type(params.latency_cycles) is int
+        engine, link = self._link(params)
+        arrivals = []
+        link.transfer(64, lambda: arrivals.append(engine.now))
+        engine.run()
+        assert arrivals == [18]
+        assert type(engine.now) is int
+
 
 class TestPackedChannel:
     def _channel(self, packing, bpc=8):
@@ -140,6 +158,32 @@ class TestPackedChannel:
         engine.run()
         assert got
         assert chan.stats.get("direct_messages") == 1
+
+    def test_trace_waits_count_from_cycle_zero(self):
+        # 40 B/cycle: a flit serializes in 2 cycles.  At cycles 0 and 5 two
+        # 8 B messages are sent; the first ships at once, the second waits
+        # 2 cycles in the buffer for the link.  A message buffered at cycle
+        # 0 must report its wait too (cycle 0 is not "missing").
+        engine, link, chan = self._channel(packing=True, bpc=40)
+        recorder = TraceRecorder()
+        engine.tracer = recorder
+
+        class Cargo:
+            def __init__(self, req_id):
+                self.req_id = req_id
+
+        def send_pair(first_id):
+            for req_id in (first_id, first_id + 1):
+                chan.send(Message(MessageKind.MEM_RESPONSE, payload_bytes=8,
+                                  destination="d", cargo=Cargo(req_id)))
+
+        send_pair(0)
+        engine.schedule(5, lambda: send_pair(2))
+        engine.run()
+        flushes = [event["args"] for event in recorder.events
+                   if event.get("name") == "flit_flush"]
+        assert [f["reqs"] for f in flushes] == [[0], [1], [2], [3]]
+        assert [f["waits"] for f in flushes] == [[0], [2], [0], [2]]
 
     def test_packing_efficiency_metric(self):
         engine, link, chan = self._channel(packing=True)

@@ -7,10 +7,12 @@ itself on a single cheap figure so the full suite stays fast.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.metrics import Report
+from repro.experiments import ExperimentScale, ParallelSweepRunner
 from repro.perf import (
     BENCH_SCHEMA,
     BenchMismatchError,
@@ -19,7 +21,11 @@ from repro.perf import (
     fingerprint,
     run_bench,
 )
-from repro.perf.harness import BENCH_FIGURES
+from repro.obs.telemetry import compare_bench, load_bench_payload
+from repro.perf.harness import BENCH_FIGURES, fingerprint_sha256
+
+#: The committed baseline payload at the repo root.
+COMMITTED_BENCH = Path(__file__).resolve().parent.parent / "BENCH_results.json"
 
 
 def _report(cycles: int, label: str = "r") -> Report:
@@ -48,6 +54,17 @@ def test_fingerprint_is_exact():
 
 def test_fingerprint_of_reportless_object_is_empty():
     assert fingerprint({"numbers": [1, 2, 3]}) == []
+
+
+def test_fingerprint_sha256_is_exact():
+    digest = fingerprint_sha256(_report(10))
+    assert len(digest) == 64 and int(digest, 16) >= 0
+    assert digest == fingerprint_sha256(_report(10))
+    assert digest != fingerprint_sha256(_report(11))
+    # Floats are hashed exactly: a last-bit energy change shows.
+    nudged = _report(10)
+    nudged.energy_dram_nj = 1.0000000000000002
+    assert digest != fingerprint_sha256(nudged)
 
 
 # -- harness mechanics -------------------------------------------------------------
@@ -95,18 +112,16 @@ def test_run_bench_writes_verified_baseline(tmp_path):
     # The bit-identical check against the serial/uncached reference ran
     # and passed — the whole point of the harness.
     assert entry["verified_identical"] is True
-    # repro-bench/3: the scheduler used, its occupancy, and a timed
-    # comparison run under every other registered scheduler (with
-    # fingerprint parity asserted inside bench_figures).
-    assert entry["scheduler"] == "wheel"
-    occ = entry["occupancy"]["wheel"]
-    assert occ["events_enqueued"] > 0
+    # repro-bench/4: the event queue's occupancy and the exact digest of
+    # the timed run's fingerprint.
+    occ = entry["occupancy"]["heap"]
+    assert occ["events_enqueued"] >= entry["events"] > 0
     assert occ["cycles_started"] > 0
-    assert occ["max_batch"] >= 1
     assert occ["avg_batch"] > 0
-    heap_run = entry["schedulers"]["heap"]
-    assert heap_run["events_per_sec"] > 0
-    assert heap_run["verified_identical"] is True
+    assert "scheduler" not in entry and "schedulers" not in entry
+    reference = BENCH_FIGURES["fig13"](
+        ExperimentScale.quick(), runner=ParallelSweepRunner(jobs=1))
+    assert entry["fingerprint_sha256"] == fingerprint_sha256(reference)
     assert payload["total_wall_s"] >= entry["wall_s"]
 
     on_disk = json.loads(output.read_text())
@@ -122,8 +137,7 @@ def test_run_bench_embeds_previous_baseline(tmp_path):
         "figures": {"fig13": {"events_per_sec": 50.0, "wall_s": 1.0}},
     }))
     payload = run_bench(figures=["fig13"], jobs=1, verify=False,
-                        output=str(output), progress=None, repeats=1,
-                        schedulers=())
+                        output=str(output), progress=None, repeats=1)
     previous = payload["previous"]
     assert previous["schema"] == "repro-bench/2"
     assert previous["created_unix"] == 123.0
@@ -137,10 +151,11 @@ def test_bench_without_verify_skips_reference(tmp_path):
     (entry,) = results
     assert entry.name == "fig13"
     assert entry.verified_identical is None
-    assert entry.schedulers is None  # no comparison runs requested
+    assert len(entry.fingerprint_sha256) == 64
 
 
-def test_bench_rejects_unknown_scheduler():
-    with pytest.raises(ValueError, match="unknown schedulers"):
-        bench_figures(figures=["fig13"], verify=False,
-                      schedulers=["splay-tree"])
+def test_compare_reads_the_committed_baseline():
+    # The committed file predates repro-bench/4; the gate still reads it.
+    old = load_bench_payload(str(COMMITTED_BENCH))
+    report = compare_bench(old, old, threshold=0.75)
+    assert report["ok"]
