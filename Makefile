@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench-quick bench lint lint-cache-parity scenarios-smoke dsl-smoke trace-smoke profile-smoke telemetry-smoke
+.PHONY: test bench-quick bench perfbench-smoke lint lint-cache-parity scenarios-smoke dsl-smoke trace-smoke profile-smoke telemetry-smoke
 
 ## Tier-1: the full unit/integration/property suite.
 test:
@@ -19,6 +19,27 @@ bench-quick:
 ## The full pytest-benchmark evaluation (minutes; needs pytest-benchmark).
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+## Repository-benchmark correctness: every perfbench workload at seed 1
+## with 1 s of rounds (about a minute on 2 vCPUs).  A point fails when
+## its Report fingerprint differs from perfbench/expected_fingerprints.json
+## or its work counters move between repeats.  run.py always exits 0, so
+## the recipe fails unless there are result lines and every one reports
+## "correct": true and "failed": 0.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0 \
+		| $(PYTHON) -c "\
+	import json, sys; \
+	lines = sys.stdin.read().splitlines(); \
+	print('\n'.join(lines)); \
+	results = [json.loads(line) for line in lines if line.startswith('{')]; \
+	bad = [r for r in results \
+	       if r.get('correct') is not True or r.get('failed') != 0]; \
+	ok = bool(results) and not bad; \
+	print(f'perfbench-smoke ok: {len(results)} workloads, ' \
+	      f'{sum(r[\"attempted\"] for r in results)} points, 0 failed' \
+	      if ok else f'perfbench-smoke FAILED: {bad or \"no result lines\"}'); \
+	sys.exit(0 if ok else 1)"
 
 ## Static sanity: byte-compile everything, then the simulator-aware
 ## static-analysis pass (determinism / cycle-safety / trace-discipline

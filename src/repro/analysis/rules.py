@@ -437,18 +437,16 @@ def check_int_cycle_arithmetic(module: Module) -> Iterator[RawFinding]:
 # -- nonneg-schedule-delay -----------------------------------------------------
 
 #: Engine methods taking a *relative* delay as their first argument.
-#: ``schedule_cancellable`` (handle-returning) and ``reschedule``
-#: (handle-moving) share ``schedule``'s delay semantics, so the rule
-#: covers all three; ``schedule_at`` takes an absolute time and has its
-#: own in-engine guard.
-_DELAY_METHODS = frozenset({"schedule", "schedule_cancellable", "reschedule"})
+#: ``schedule_cancellable`` (handle-returning) shares ``schedule``'s delay
+#: semantics, so the rule covers both; ``schedule_at`` takes an absolute
+#: time and has its own in-engine guard.
+_DELAY_METHODS = frozenset({"schedule", "schedule_cancellable"})
 
 
 @register(
     "nonneg-schedule-delay",
-    "delays passed to Engine.schedule/schedule_cancellable/reschedule "
-    "must be provably non-negative (no negative literals, no bare "
-    "subtraction)",
+    "delays passed to Engine.schedule/schedule_cancellable must be "
+    "provably non-negative (no negative literals, no bare subtraction)",
 )
 def check_schedule_delay(module: Module) -> Iterator[RawFinding]:
     """Flag negative or un-guarded-subtraction delays passed to schedule()."""
@@ -458,11 +456,6 @@ def check_schedule_delay(module: Module) -> Iterator[RawFinding]:
                 and node.func.attr in _DELAY_METHODS and node.args):
             continue
         delay = node.args[0]
-        if node.func.attr == "reschedule":
-            # reschedule(handle, delay): the delay is the second argument.
-            if len(node.args) < 2:
-                continue
-            delay = node.args[1]
         if (isinstance(delay, ast.Constant)
                 and isinstance(delay.value, (int, float))
                 and delay.value < 0):

@@ -51,35 +51,21 @@ def _wire_tag(batch: List[Message]) -> Dict[str, object]:
 class _BatchDelivery:
     """Delivers one flushed batch of packed messages at link arrival.
 
-    A slotted callable instead of a per-flush closure; after delivery the
-    batch list is recycled into the channel's small freelist so steady-state
-    packing allocates one ``_BatchDelivery`` per flush and nothing else.
+    A slotted callable instead of a per-flush closure.
     """
 
-    __slots__ = ("channel", "batch")
+    __slots__ = ("batch",)
 
-    def __init__(self, channel: "PackedChannel", batch: List[Message]) -> None:
-        self.channel = channel
+    def __init__(self, batch: List[Message]) -> None:
         self.batch = batch
 
     def __call__(self) -> None:
-        batch = self.batch
-        for message in batch:
+        for message in self.batch:
             message()
-        # Delivery callbacks only ever append to the channel's *current*
-        # buffer, never to this already-shipped batch, so it is safe to
-        # recycle here.
-        free = self.channel._free_batches
-        if len(free) < PackedChannel.BATCH_FREELIST_CAP:
-            batch.clear()
-            free.append(batch)
 
 
 class PackedChannel(Component):
     """Send interface over one link, with or without data packing."""
-
-    #: Cap on retained drained batch lists for reuse.
-    BATCH_FREELIST_CAP = 8
 
     def __init__(
         self,
@@ -103,7 +89,6 @@ class PackedChannel(Component):
         #: buffer-full flush retracts the timer instead of leaving a dead
         #: event in the queue).
         self._flush_handle = None
-        self._free_batches: List[List[Message]] = []
         self._counters = self.stats.counters
 
     def send(self, message: Message) -> None:
@@ -173,8 +158,7 @@ class PackedChannel(Component):
     def _flush(self) -> None:
         batch = self._buffer
         batch_bytes = self._buffer_bytes
-        free = self._free_batches
-        self._buffer = free.pop() if free else []
+        self._buffer = []
         self._buffer_bytes = 0
         if self._flush_scheduled_at is not None:
             self._flush_scheduled_at = None
@@ -210,15 +194,11 @@ class PackedChannel(Component):
             )
         if len(batch) == 1:
             # Idle-link sends flush immediately, so single-message batches
-            # dominate: ship the message itself as the arrival event and
-            # recycle the list now instead of allocating a ``_BatchDelivery``.
-            message = batch[0]
-            batch.clear()
-            if len(free) < PackedChannel.BATCH_FREELIST_CAP:
-                free.append(batch)
-            self.link.transfer(wire, message, tag=tag)
+            # dominate: ship the message itself as the arrival event instead
+            # of allocating a ``_BatchDelivery``.
+            self.link.transfer(wire, batch[0], tag=tag)
             return
-        self.link.transfer(wire, _BatchDelivery(self, batch), tag=tag)
+        self.link.transfer(wire, _BatchDelivery(batch), tag=tag)
 
     # -- reporting ----------------------------------------------------------------
 

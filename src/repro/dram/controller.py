@@ -13,13 +13,12 @@ hits, then age.  ``policy="fcfs"`` disables the row-hit bypass for the
 ablation study.
 
 This module is the simulator's hottest code path; it trades a little
-elegance for speed (flat bank arrays, plan objects reused between the
+elegance for speed (flat bank arrays, one plan tuple shared by the
 scheduling decision and the issue).
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -32,8 +31,7 @@ from repro.sim.queueing import BoundedQueue
 #: A timing plan: (start, pre_data, transfer, activate, banks, chip_span).
 #: ``start`` is *now-independent*: the earliest cycle the bank/bus state
 #: permits, ignoring the current time; the effective start of an issue is
-#: ``max(now, start)``.  That makes a plan valid for as long as the DIMM's
-#: state epoch is unchanged, which is what the plan cache keys on.
+#: ``max(now, start)``.
 Plan = Tuple[int, int, int, bool, List[Bank], range]
 
 
@@ -75,19 +73,6 @@ class DimmController(Component):
         # timing and geometry dataclasses are frozen for the DIMM's life).
         self._timing = dimm.timing
         self._burst_bytes_per_chip = dimm.geometry.burst_bytes_per_chip
-        #: Cached plans live on each request's ``plan_entry`` slot as
-        #: (global epoch, bank epoch, bus-epoch digest, plan).  Validity is
-        #: two-tier: an unchanged global epoch (a scheduling pass that
-        #: issued nothing) validates every entry in O(1); after an issue,
-        #: the per-bank/per-bus epochs revalidate entries that do not share
-        #: state with what was issued.
-        #: ``REPRO_DISABLE_PLAN_CACHE=1`` forces the always-recompute path
-        #: (the perf harness uses it to verify bit-identical results).
-        self._plan_cache_enabled = os.environ.get(
-            "REPRO_DISABLE_PLAN_CACHE", ""
-        ).lower() not in ("1", "true", "yes")
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
 
     # -- submission -------------------------------------------------------------
 
@@ -202,8 +187,7 @@ class DimmController(Component):
         )
         pre_data, activate = banks[0].classify(row, timing, request.is_write)
         # All constraints below are pure maxima over bank/bus state, so the
-        # earliest start relative to any ``now`` is just ``max(now, start)``
-        # — computing from 0 yields a plan reusable across wakeups.
+        # earliest start relative to any ``now`` is just ``max(now, start)``.
         start = 0
         chip_free, index = dimm.chip_free_window(rank, first_chip)
         for bank in banks:
@@ -215,42 +199,6 @@ class DimmController(Component):
                 start = bus
             index += 1
         return start, pre_data, transfer, activate, banks, chips
-
-    def _plan(self, request: MemoryRequest) -> Plan:
-        """Cached timing plan, invalidated when the DIMM's state advances."""
-        if not self._plan_cache_enabled:
-            return self._compute_plan(request)
-        dimm = self.dimm
-        epoch = dimm.state_epoch
-        cached = request.plan_entry
-        if cached is not None:
-            if cached[0] == epoch:
-                self.plan_cache_hits += 1
-                return cached[3]
-            coord = request.coord
-            bank_ep = dimm.bank_epoch(coord.rank, coord.bank)
-            bus_ep = dimm.bus_epoch_sum(
-                coord.rank, coord.first_chip, coord.chips_per_group
-            )
-            if cached[1] == bank_ep and cached[2] == bus_ep:
-                # State advanced elsewhere on the DIMM; this plan's banks
-                # and buses did not move.  Refresh the fast-path stamp.
-                request.plan_entry = (epoch, bank_ep, bus_ep, cached[3])
-                self.plan_cache_hits += 1
-                return cached[3]
-        else:
-            coord = request.coord
-            bank_ep = dimm.bank_epoch(coord.rank, coord.bank)
-            bus_ep = dimm.bus_epoch_sum(
-                coord.rank, coord.first_chip, coord.chips_per_group
-            )
-        plan = self._compute_plan(request)
-        request.plan_entry = (epoch, bank_ep, bus_ep, plan)
-        self.plan_cache_misses += 1
-        return plan
-
-    def _earliest_start(self, request: MemoryRequest) -> int:
-        return max(self.engine.now, self._plan(request)[0])
 
     def _pick_ready(self):
         """FR-FCFS pick: ``(request, plan)`` ready now, else the earliest
@@ -265,7 +213,7 @@ class DimmController(Component):
             if window >= self.SCHED_WINDOW:
                 break
             window += 1
-            plan = self._plan(request)
+            plan = self._compute_plan(request)
             start = plan[0]
             if start <= now:
                 if not prefer_hits:
@@ -288,7 +236,6 @@ class DimmController(Component):
         now = engine.now
         if start < now:
             start = now  # plan start is now-independent
-        request.plan_entry = None
         coord = request.coord
         dimm = self.dimm
         timing = self._timing
@@ -331,7 +278,6 @@ class DimmController(Component):
                     "wait": start - enq if enq is not None else 0,
                 },
             )
-        dimm.note_bank_commit(coord.rank, coord.bank)
         if activate:
             dimm.energy.on_activate(chips=coord.chips_per_group)
         # The chip data bus is occupied only during the transfer window.

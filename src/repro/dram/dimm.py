@@ -53,13 +53,6 @@ class Dimm(Component):
         self.kind = kind
         self.geometry = geometry
         self.timing = timing
-        #: Monotonic counter bumped whenever any bank or chip-bus state
-        #: advances (an access commits, refresh fires).  The controller keys
-        #: its per-request timing-plan cache on this: while the epoch is
-        #: unchanged, every previously computed plan is still valid.  The
-        #: per-(rank, bank) and per-(rank, chip) epochs below refine it so
-        #: an issue only invalidates plans that actually share state with it.
-        self.state_epoch: int = 0
         # Flat bank array indexed by (rank, chip, bank) — this is the
         # simulator's hottest data structure.  The geometry scalars the
         # index math needs are hoisted to plain ints here; going through
@@ -83,12 +76,6 @@ class Dimm(Component):
         self.chip_counters = ChipAccessCounters(geometry)
         # Per-(rank, chip) data-bus availability, flat.
         self._chip_free_at: List[int] = [0] * (
-            geometry.ranks * geometry.chips_per_rank
-        )
-        # Fine-grained plan-invalidation epochs: per (rank, bank-index) for
-        # command-sequencing state, per (rank, chip) for data-bus state.
-        self._bank_epoch: List[int] = [0] * (geometry.ranks * geometry.banks)
-        self._bus_epoch: List[int] = [0] * (
             geometry.ranks * geometry.chips_per_rank
         )
         self.energy = DramEnergyModel(
@@ -132,31 +119,14 @@ class Dimm(Component):
             self._group_memo[key] = group
             return group
 
-    def chip_free_at(self, rank: int, chip: int) -> int:
-        return self._chip_free_at[rank * self._chips_per_rank + chip]
-
-    def set_chip_free_at(self, rank: int, chip: int, time: int) -> None:
-        index = rank * self._chips_per_rank + chip
-        self._chip_free_at[index] = time
-        self._bus_epoch[index] += 1
-        self.state_epoch += 1
-
     def set_group_free_at(
         self, rank: int, first_chip: int, chips: int, time: int
     ) -> None:
-        """Advance every data bus of one chip group to ``time``.
-
-        Equivalent to ``chips`` calls of :meth:`set_chip_free_at` (the
-        epochs move identically); batched because the controller does this
-        once per issued request across the whole group.
-        """
+        """Advance every data bus of one chip group to ``time``."""
         base = rank * self._chips_per_rank + first_chip
         free = self._chip_free_at
-        epochs = self._bus_epoch
         for index in range(base, base + chips):
             free[index] = time
-            epochs[index] += 1
-        self.state_epoch += chips
 
     def chip_free_window(self, rank: int, first_chip: int) -> Tuple[List[int], int]:
         """The flat bus-availability list and the index of ``first_chip``.
@@ -168,32 +138,13 @@ class Dimm(Component):
         """
         return self._chip_free_at, rank * self._chips_per_rank + first_chip
 
-    # -- plan-cache invalidation --------------------------------------------------
-
-    def note_bank_commit(self, rank: int, bank: int) -> None:
-        """An access committed against bank ``bank`` of ``rank`` (any chip
-        group): plans reading that bank index are stale."""
-        self._bank_epoch[rank * self._banks_per_chip + bank] += 1
-        self.state_epoch += 1
-
-    def bank_epoch(self, rank: int, bank: int) -> int:
-        return self._bank_epoch[rank * self._banks_per_chip + bank]
-
-    def bus_epoch_sum(self, rank: int, first_chip: int, chips: int) -> int:
-        """Monotonic digest of the data-bus state a chip group depends on
-        (strictly increases whenever any covered chip's bus advances)."""
-        base = rank * self._chips_per_rank + first_chip
-        return sum(self._bus_epoch[base : base + chips])
-
     def apply_refresh(self, busy_until: int) -> None:
         """Block every bank and chip bus until ``busy_until`` (REF for all
         ranks) and close all rows.
 
         Flat sweeps over the state arrays on behalf of the refresh engine —
         the triple (rank, chip, bank) loop through :meth:`bank` showed up in
-        profiles.  Bus epochs are bumped wholesale by the caller's
-        :meth:`bump_state_epoch`, which invalidates every cached plan, so
-        the per-entry epochs need no individual increments here.
+        profiles.
         """
         for bank in self._banks:
             if bank is None:
@@ -208,12 +159,6 @@ class Dimm(Component):
         for index, at in enumerate(free):
             if at < busy_until:
                 free[index] = busy_until
-
-    def bump_state_epoch(self) -> None:
-        """Invalidate every cached timing plan (refresh moved all banks)."""
-        self.state_epoch += 1
-        self._bank_epoch = [e + 1 for e in self._bank_epoch]
-        self._bus_epoch = [e + 1 for e in self._bus_epoch]
 
     def validate_group(self, chips_per_group: int) -> None:
         """Reject fine-grained access on DIMMs that cannot do it."""

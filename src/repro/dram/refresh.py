@@ -59,9 +59,6 @@ class RefreshEngine:
         busy_until = self.engine.now + self.timing.trfc
         dimm.apply_refresh(busy_until)
         self.refreshes += 1
-        # Banks and buses moved without going through the controller's
-        # issue path: cached timing plans are stale.
-        dimm.bump_state_epoch()
         dimm.stats.add("refreshes", 1)
         dimm.stats.add(
             "energy_refresh_nj",

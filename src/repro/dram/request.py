@@ -106,12 +106,6 @@ class MemoryRequest:
     #: Filled in during routing.
     dimm_index: Optional[int] = None
     coord: Optional[DramCoord] = None
-    #: DIMM-controller scratch: ``(global epoch, bank epoch, bus-epoch
-    #: digest, plan)`` for this request, or ``None``.  Living on the
-    #: request (one slot, cleared at issue) instead of a controller-side
-    #: dict keyed by ``req_id`` keeps the planning fast path free of
-    #: dictionary traffic.
-    plan_entry: Optional[tuple] = field(init=False, default=None, repr=False)
     #: ``kind is WRITE``, fixed at construction; the DRAM timing path reads
     #: this per bank per scheduling pass, so it is a plain attribute.
     is_write: bool = field(init=False)

@@ -2,17 +2,15 @@
 
 Each benched figure is executed twice at quick scale:
 
-1. a *timed* run with the configured job count, the controller's timing
-   plan cache, and the cross-run index cache enabled (the production
-   path), and
-2. a *reference* run, serial and with ``REPRO_DISABLE_PLAN_CACHE=1`` and
-   ``REPRO_DISABLE_INDEX_CACHE=1`` (the always-recompute path),
+1. a *timed* run with the configured job count and the cross-run index
+   cache enabled (the production path), and
+2. a *reference* run, serial and with ``REPRO_DISABLE_INDEX_CACHE=1``
+   (the always-rebuild path),
 
 and the two runs' :class:`~repro.core.metrics.Report` fingerprints —
 cycle counts, energy components, task counts — must match exactly.  The
-optimizations are pure host-side work elision (scheduling plans, index
-construction); any divergence is a bug, so the harness hard-asserts
-rather than warning.
+index cache and the parallel runner are pure host-side work elision; any
+divergence is a bug, so the harness hard-asserts rather than warning.
 
 ``BENCH_results.json`` schema (``repro-bench/4``)::
 
@@ -182,7 +180,7 @@ class FigureBenchResult:
     verified_identical: Optional[bool] = None
     #: Wall clock of the serial/uncached reference run (``None`` when the
     #: verify pass is skipped); ``wall_s`` against this is the combined
-    #: plan-cache + index-cache + parallelism win.
+    #: index-cache + parallelism win.
     reference_wall_s: Optional[float] = None
     #: In-process index-cache counter deltas over the timed run (see
     #: :func:`repro.genomics.index_cache.cache_stats`); undercounts when
@@ -255,29 +253,23 @@ def _best_timed_run(
     return best
 
 
-#: Environment switches flipped for the reference (always-recompute) run.
-_REFERENCE_DISABLES = ("REPRO_DISABLE_PLAN_CACHE", index_cache.DISABLE_ENV)
-
-
 def _reference_run(fn: Callable[..., Any],
                    scale: ExperimentScale) -> Tuple[Any, float]:
-    """Serial, cache-disabled run (the pre-optimization semantics): the
-    plan cache and the cross-run index cache are both off.  Returns the
-    result and its wall clock (the uncached baseline for the cache win)."""
+    """Serial run with the cross-run index cache off (the pre-optimization
+    semantics).  Returns the result and its wall clock (the uncached
+    baseline for the cache win)."""
     serial = ParallelSweepRunner(jobs=1)
-    previous = {name: os.environ.get(name) for name in _REFERENCE_DISABLES}
-    for name in _REFERENCE_DISABLES:
-        os.environ[name] = "1"
+    previous = os.environ.get(index_cache.DISABLE_ENV)
+    os.environ[index_cache.DISABLE_ENV] = "1"
     try:
         started = time.perf_counter()
         result = fn(scale, runner=serial)
         return result, time.perf_counter() - started
     finally:
-        for name, value in previous.items():
-            if value is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = value
+        if previous is None:
+            del os.environ[index_cache.DISABLE_ENV]
+        else:
+            os.environ[index_cache.DISABLE_ENV] = previous
 
 
 #: Event cap for verification-only traced runs: small on purpose — the

@@ -19,7 +19,6 @@ validate the time first.
 
 from __future__ import annotations
 
-import gc
 import itertools
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional
@@ -68,11 +67,6 @@ class EventHandle:
     def cancel(self) -> None:
         """Retract the event; a no-op if it already ran or was cancelled."""
         self.cancelled = True
-
-    @property
-    def active(self) -> bool:
-        """Whether the event can still fire."""
-        return not self.cancelled
 
 
 class Engine:
@@ -226,16 +220,6 @@ class Engine:
         self.schedule(delay, handle)
         return handle
 
-    def reschedule(self, handle: Optional[EventHandle], delay: int) -> EventHandle:
-        """Supersede ``handle`` with a fresh one ``delay`` cycles from now.
-
-        Cancels the old handle and schedules its callback again.
-        """
-        if handle is None:
-            raise SimulationError("reschedule() needs a handle to supersede")
-        handle.cancel()
-        return self.schedule_cancellable(delay, handle.fn)
-
     def stop(self) -> None:
         """Stop the current :meth:`run` after the executing event returns."""
         self._stopped = True
@@ -267,14 +251,6 @@ class Engine:
         # event, so a non-positive budget still runs one event; -1 never
         # matches.
         budget = -1 if max_events is None else max(max_events, 1)
-        # Event dispatch allocates heavily (requests, flights, partials)
-        # but the objects are acyclic and die young; pausing the cyclic
-        # collector for the duration of the drain removes periodic
-        # whole-heap scans from the hot loop.  Purely an allocator
-        # setting — simulation order and results are unaffected.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         # The cycle being drained.  Reset per run, so a run resuming a
         # cycle a stopped run left half-drained counts it as started again.
         cycle = None
@@ -312,8 +288,6 @@ class Engine:
             if until is not None and not queue and self.now < until:
                 self.now = until
         finally:
-            if gc_was_enabled:
-                gc.enable()
             self._running = False
             self._events_executed += executed
             Engine._global_events_executed += executed

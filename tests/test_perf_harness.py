@@ -1,7 +1,7 @@
 """Tests for the perf-regression harness (repro.perf).
 
 ``python -m repro bench`` times every figure at quick scale and asserts the
-optimized path (plan cache on, optional fan-out) reproduces the
+optimized path (index cache on, optional fan-out) reproduces the
 serial/uncached reference bit-for-bit.  These tests exercise the harness
 itself on a single cheap figure so the full suite stays fast.
 """
